@@ -31,12 +31,12 @@ use std::collections::BTreeSet;
 
 use cycleq_lang::{parse_module, print_clause, Module};
 use cycleq_rewrite::{check_program, MemoRewriter, Rule, RuleId, Trs, WitnessPat};
-use cycleq_term::{match_term, unify, Signature, Subst, SymKind, Term, VarId};
+use cycleq_term::{match_term, Signature, Subst, SymKind, Term, VarId};
 
-use crate::critical_pairs::overlap_verdicts;
 use crate::deadcode::reachable_defined;
 use crate::diagnostic::{Code, Diagnostic, Edit, EditKind, Fix};
-use crate::{analyze, first_rule_line, lang_error_diagnostic};
+use crate::overlap::OverlapVerdict;
+use crate::{analyze_with_verdicts, first_rule_line, lang_error_diagnostic};
 
 /// Fuel for the small normalizations fix synthesis performs (subsumption
 /// checks on instantiated right-hand sides).
@@ -53,13 +53,21 @@ const MAX_ROUNDS: usize = 10;
 /// callers get the same structured output for files that do not lower.
 pub fn analyze_source(source: &str) -> Vec<Diagnostic> {
     match parse_module(source) {
-        Ok(module) => {
-            let mut diags = analyze(&module);
-            attach_fixes(&module, source, &mut diags);
-            diags
-        }
+        Ok(module) => analyze_module_source(&module, source),
         Err(err) => vec![lang_error_diagnostic(&err)],
     }
+}
+
+/// Runs the analyzer over a module already parsed from `source` and
+/// attaches the synthesized fixes, which carry line edits against
+/// `source`. Overlaps are enumerated once, for both the diagnostics and
+/// their fixes.
+pub fn analyze_module_source(module: &Module, source: &str) -> Vec<Diagnostic> {
+    let (mut diags, verdicts) = analyze_with_verdicts(module);
+    overlap_fixes(module, &verdicts, &mut diags);
+    coverage_fixes(module, source, &mut diags);
+    deadcode_fixes(module, &mut diags);
+    diags
 }
 
 /// The result of [`analyze_with_fixes`].
@@ -160,15 +168,6 @@ pub fn apply_fixes(source: &str, fixes: &[Fix]) -> (String, usize) {
     (out, applied)
 }
 
-/// Synthesizes fixes for the module and attaches them to the matching
-/// diagnostics in `diags`. `source` must be the text the module was
-/// parsed from — fixes carry line edits against it.
-pub fn attach_fixes(module: &Module, source: &str, diags: &mut [Diagnostic]) {
-    overlap_fixes(module, diags);
-    coverage_fixes(module, source, diags);
-    deadcode_fixes(module, diags);
-}
-
 /// Attaches `fix` to the first fix-less diagnostic matching code, line and
 /// message substring.
 fn attach(diags: &mut [Diagnostic], code: Code, line: Option<u32>, needle: &str, fix: Fix) {
@@ -184,8 +183,8 @@ fn attach(diags: &mut [Diagnostic], code: Code, line: Option<u32>, needle: &str,
 // CQ002: complete joinable overlaps into orthogonal systems.
 // ---------------------------------------------------------------------------
 
-fn overlap_fixes(module: &Module, diags: &mut [Diagnostic]) {
-    for v in overlap_verdicts(module) {
+fn overlap_fixes(module: &Module, verdicts: &[OverlapVerdict], diags: &mut [Diagnostic]) {
+    for v in verdicts {
         if !v.joinable {
             continue;
         }
@@ -194,9 +193,9 @@ fn overlap_fixes(module: &Module, diags: &mut [Diagnostic]) {
         };
         // Prefer splitting the later clause (it usually is the catch-all,
         // as in fig. 2's `sub x Z = x`); fall back to the earlier one.
-        let fix = if let Some(var) = first_bound_var(module, v.b, v.a) {
+        let fix = if let Some(var) = first_bound_var(module, v, v.b) {
             split_fix(module, v.b, v.a, var, lb)
-        } else if let Some(var) = first_bound_var(module, v.a, v.b) {
+        } else if let Some(var) = first_bound_var(module, v, v.a) {
             split_fix(module, v.a, v.b, var, la)
         } else {
             // Neither side is more specific anywhere: the left-hand sides
@@ -217,26 +216,27 @@ fn overlap_fixes(module: &Module, diags: &mut [Diagnostic]) {
     }
 }
 
-/// The first variable of `general`'s left-hand side that the mgu with
-/// `other` binds to a constructor-headed term — i.e. a position where
-/// `other` is strictly more specific, so splitting `general` there makes
-/// progress towards orthogonality.
-fn first_bound_var(module: &Module, general: RuleId, other: RuleId) -> Option<VarId> {
+/// The first variable of `general` — one of the verdict's two clauses —
+/// that the overlap's mgu binds to a constructor-headed term, i.e. a
+/// position where the other clause is strictly more specific, so
+/// splitting `general` there makes progress towards orthogonality.
+fn first_bound_var(module: &Module, v: &OverlapVerdict, general: RuleId) -> Option<VarId> {
     let sig = &module.program.sig;
-    let trs = &module.program.trs;
-    if trs.rule(general).head() != trs.rule(other).head() {
-        return None; // only root overlaps are completed
-    }
-    let mut scratch = trs.vars().clone();
-    let (po, _) = trs.freshen_rule(other, &mut scratch);
-    let lhs_g = trs.rule(general).lhs_term();
-    let lhs_o = Term::apps(trs.rule(other).head(), po);
-    let theta = unify(&lhs_g, &lhs_o).ok()?;
-    trs.rule(general)
+    module
+        .program
+        .trs
+        .rule(general)
         .lhs_vars()
-        .iter()
-        .find(|v| theta.get(**v).is_some_and(|t| t.is_constructor_headed(sig)))
-        .copied()
+        .into_iter()
+        .find(|x| {
+            // The later clause was renamed apart before unification.
+            let copy = if general == v.b {
+                v.renaming.apply(&Term::var(*x))
+            } else {
+                Term::var(*x)
+            };
+            v.mgu.apply(&copy).is_constructor_headed(sig)
+        })
 }
 
 /// Splits `general`'s clause over the constructors of `split_var`'s

@@ -20,21 +20,23 @@
 //! | `CQ008` | error    | frontend failure surfaced through the linter   |
 //! | `CQ009` | error    | non-joinable critical pair (order-sensitive)   |
 //!
-//! Overlaps are classified by joinability of their critical pairs:
-//! `CQ002` instances whose critical pairs all converge are downgraded to
-//! warnings (the system is weakly orthogonal), while diverging pairs are
-//! promoted to the hard error `CQ009`. Several diagnostics carry a
-//! machine-applicable [`Fix`]; [`analyze_with_fixes`] applies them to a
-//! fixed point.
+//! Overlaps — which in a constructor system are root overlaps of two
+//! clauses of the same function — are classified by joinability of their
+//! critical pairs: `CQ002` instances whose critical pair converges are
+//! downgraded to warnings (the system is weakly orthogonal), while
+//! diverging pairs are promoted to the hard error `CQ009`. Several
+//! diagnostics carry a machine-applicable [`Fix`]; [`analyze_with_fixes`]
+//! applies them to a fixed point.
 //!
 //! The individual analyses reuse the engines the prover already trusts:
-//! the pattern-matrix usefulness algorithm and the unification-based
-//! orthogonality check from `cycleq_rewrite`, and the hash-consed,
-//! memoized size-change closure from `cycleq_sizechange` — so a program
-//! that lints clean is exactly one the paper's metatheory covers.
+//! the pattern-matrix usefulness algorithm and the root-overlap engine
+//! ([`cycleq_rewrite::overlaps`]) from `cycleq_rewrite`, and the
+//! hash-consed, memoized size-change closure from `cycleq_sizechange` — so
+//! a program that lints clean is exactly one the paper's metatheory
+//! covers. Overlaps are enumerated once per analysis: the verdicts that
+//! classify `CQ002`/`CQ009` are handed on to fix synthesis.
 
 mod coverage;
-mod critical_pairs;
 mod deadcode;
 mod diagnostic;
 mod fix;
@@ -43,7 +45,8 @@ mod termination;
 
 pub use diagnostic::{Code, Diagnostic, Edit, EditKind, Fix, Severity};
 pub use fix::{
-    analyze_source, analyze_with_fixes, apply_fixes, attach_fixes, unified_diff, FixOutcome,
+    analyze_module_source, analyze_source, analyze_with_fixes, apply_fixes, unified_diff,
+    FixOutcome,
 };
 
 use cycleq_lang::{LangError, LangErrorKind, Module};
@@ -54,10 +57,14 @@ use cycleq_term::SymId;
 /// Diagnostics are sorted by source line (findings without a line sort
 /// last), then by code, so output is deterministic across runs.
 pub fn analyze(module: &Module) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    out.extend(coverage::check(module));
-    out.extend(overlap::check(module));
-    out.extend(critical_pairs::check(module));
+    analyze_with_verdicts(module).0
+}
+
+/// [`analyze`], also returning the overlap verdicts fix synthesis needs.
+fn analyze_with_verdicts(module: &Module) -> (Vec<Diagnostic>, Vec<overlap::OverlapVerdict>) {
+    let (overlaps, verdicts) = overlap::check(module);
+    let mut out = coverage::check(module);
+    out.extend(overlaps);
     out.extend(termination::check(module));
     out.extend(deadcode::check(module));
     out.sort_by(|a, b| {
@@ -67,7 +74,7 @@ pub fn analyze(module: &Module) -> Vec<Diagnostic> {
             &b.message,
         ))
     });
-    out
+    (out, verdicts)
 }
 
 /// Maps a frontend failure to a diagnostic so `cycleq lint` reports files
@@ -106,6 +113,19 @@ mod tests {
         )
         .unwrap();
         assert!(analyze(&m).is_empty());
+    }
+
+    #[test]
+    fn polymorphic_and_higher_order_programs_meet_remark_2_1() {
+        // The frontend's polymorphic and higher-order fixtures: no
+        // coverage, orthogonality or termination finding.
+        for src in [
+            "data List a = Nil | Cons a (List a)\ndata Nat = Z | S Nat\nlen :: List a -> Nat\nlen Nil = Z\nlen (Cons x xs) = S (len xs)\n",
+            "data List a = Nil | Cons a (List a)\nmap :: (a -> b) -> List a -> List b\nmap f Nil = Nil\nmap f (Cons x xs) = Cons (f x) (map f xs)\ngoal mapId: map id xs === xs\nid :: a -> a\nid x = x\n",
+        ] {
+            let ds = analyze(&parse_module(src).unwrap());
+            assert!(ds.is_empty(), "{src}\n{ds:?}");
+        }
     }
 
     #[test]

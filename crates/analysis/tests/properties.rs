@@ -1,8 +1,16 @@
-//! Property tests for the coverage analysis: the `CQ001` verdict must agree
-//! with a brute-force ground oracle. A unary or binary function over `Nat`
-//! with patterns of depth ≤ 2 is partial iff some ground constructor
-//! argument of depth ≤ 3 matches none of its clauses, so enumerating that
-//! finite space decides exhaustiveness exactly.
+//! Property tests for the analyses against brute-force oracles.
+//!
+//! - Coverage: the `CQ001` verdict must agree with a ground oracle. A unary
+//!   or binary function over `Nat` with patterns of depth ≤ 2 is partial
+//!   iff some ground constructor argument of depth ≤ 3 matches none of its
+//!   clauses, so enumerating that finite space decides exhaustiveness
+//!   exactly.
+//! - Overlaps: the root-only overlap engine must produce exactly the
+//!   critical pairs of the general all-positions enumerator in
+//!   [`oracle`], and `CQ002`/`CQ009` must match reducts normalized by the
+//!   plain rewriter.
+
+mod oracle;
 
 use cycleq_analysis::{analyze, Code};
 use cycleq_lang::{parse_module, Module};
@@ -148,7 +156,7 @@ fn coverage_witness_is_itself_uncovered() {
 }
 
 /// Overlap classification (`CQ002` vs `CQ009`) differenced against a
-/// brute-force oracle: enumerate the critical pairs at the rewrite layer,
+/// brute-force oracle: enumerate the critical pairs at every position,
 /// normalize both reducts of every pair with the plain (unmemoized)
 /// rewriter, and require (a) exactly one finding per overlapping clause
 /// pair and (b) `CQ009` exactly when some pair's reducts fail to meet.
@@ -156,7 +164,7 @@ fn coverage_witness_is_itself_uncovered() {
 /// with randomized patterns and right-hand sides.
 #[test]
 fn overlap_classification_matches_brute_force_reduct_normalization() {
-    use cycleq_rewrite::{critical_pairs, Rewriter, RuleId};
+    use cycleq_rewrite::{Rewriter, RuleId};
     use std::collections::BTreeMap;
 
     const R1: &[&str] = &["Z", "y", "S y"];
@@ -188,7 +196,7 @@ fn overlap_classification_matches_brute_force_reduct_normalization() {
         let trs = &module.program.trs;
         let rewriter = Rewriter::new(sig, trs).with_fuel(100_000);
         let mut pair_joinable: BTreeMap<(RuleId, RuleId), bool> = BTreeMap::new();
-        for cp in &critical_pairs(trs).pairs {
+        for cp in &oracle::critical_pairs(trs).pairs {
             let key = (cp.inner.min(cp.outer), cp.inner.max(cp.outer));
             let l = rewriter.normalize(&cp.left);
             let r = rewriter.normalize(&cp.right);
@@ -211,5 +219,89 @@ fn overlap_classification_matches_brute_force_reduct_normalization() {
             "CQ009 must match the brute-force reduct verdict:\n{}",
             src
         );
+    });
+}
+
+/// Clause patterns for the overlap differential: `{v}` is the argument's
+/// variable. The catch-all `{v}` makes most clause pairs overlap.
+const OVERLAP_SHAPES: &[&str] = &["Z", "(S Z)", "(S {v})", "{v}", "(S (S {v}))"];
+
+/// Right-hand sides over the clause's variables `a` and `b` (used only when
+/// bound) and calls into the other functions, so reducts contain defined
+/// symbols of more than one head.
+const OVERLAP_RHS: &[&str] = &["Z", "S Z", "a", "S b", "g a b", "f b (S a)", "h (g a Z) b"];
+
+/// Renders one clause `name p1 p2 = rhs`, falling back to `Z` when the
+/// right-hand side needs a variable the patterns do not bind or calls a
+/// function the program does not declare.
+fn overlap_clause(name: &str, p1: usize, p2: usize, rhs: usize, defined: &[&str]) -> String {
+    let l = OVERLAP_SHAPES[p1].replace("{v}", "a");
+    let r = OVERLAP_SHAPES[p2].replace("{v}", "b");
+    let body = OVERLAP_RHS[rhs];
+    let fits = body.split([' ', '(', ')']).all(|tok| match tok {
+        "a" => l.contains('a'),
+        "b" => r.contains('b'),
+        "f" | "g" | "h" => defined.contains(&tok),
+        _ => true,
+    });
+    format!("{name} {l} {r} = {}\n", if fits { body } else { "Z" })
+}
+
+/// The engine (`cycleq_rewrite::overlaps`) against the general enumerator:
+/// on random constructor programs with two or three binary `Nat`
+/// functions whose clauses overlap, the ordered `(outer, inner, peak,
+/// left, right)` renderings must be identical — the enumerator finds no
+/// proper-subterm or cross-function overlap the engine skips.
+#[test]
+fn overlap_engine_matches_the_all_positions_enumerator() {
+    let clause = (
+        0..OVERLAP_SHAPES.len(),
+        0..OVERLAP_SHAPES.len(),
+        0..OVERLAP_RHS.len(),
+    );
+    proptest!(cfg(), |(
+        fns in 2usize..4,
+        clauses in proptest::collection::vec(proptest::collection::vec(clause.clone(), 1..4), 3),
+        catch_all_rhs in proptest::collection::vec(0..OVERLAP_RHS.len(), 3),
+    )| {
+        let names = &["f", "g", "h"][..fns];
+        let mut src = String::from("data Nat = Z | S Nat\n");
+        for (i, name) in names.iter().enumerate() {
+            src.push_str(&format!("{name} :: Nat -> Nat -> Nat\n"));
+            for &(p1, p2, rhs) in &clauses[i] {
+                src.push_str(&overlap_clause(name, p1, p2, rhs, names));
+            }
+            // A final catch-all overlaps every earlier clause.
+            src.push_str(&overlap_clause(name, 3, 3, catch_all_rhs[i], names));
+        }
+        let module = parse_module(&src).unwrap();
+        let sig = &module.program.sig;
+        let trs = &module.program.trs;
+        let engine = cycleq_rewrite::overlaps(trs);
+        let expected = oracle::critical_pairs(trs);
+        let show = |t: &Term, vars: &cycleq_term::VarStore| t.display(sig, vars).to_string();
+        let got: Vec<_> = engine
+            .pairs
+            .iter()
+            .map(|p| {
+                let v = &engine.vars;
+                (p.outer, p.inner, show(&p.peak, v), show(&p.left, v), show(&p.right, v))
+            })
+            .collect();
+        let want: Vec<_> = expected
+            .pairs
+            .iter()
+            .map(|p| {
+                let v = &expected.vars;
+                (p.outer, p.inner, show(&p.peak, v), show(&p.left, v), show(&p.right, v))
+            })
+            .collect();
+        prop_assert!(!got.is_empty(), "the catch-all clauses overlap:\n{}", src);
+        prop_assert!(
+            expected.pairs.iter().all(|p| p.pos.is_root()),
+            "a constructor system has root overlaps only:\n{}",
+            src
+        );
+        prop_assert_eq!(got, want, "engine and enumerator disagree on:\n{}", src);
     });
 }

@@ -423,17 +423,25 @@ mod tests {
         // Task 30 is predicted heaviest, so it must be popped before the
         // cheap tasks seeded ahead of it in index order. Record the global
         // start order and check the heavy task is started among the first
-        // `workers` tasks.
+        // `workers` tasks. Each worker's first task waits at a barrier for
+        // the other worker's, so a worker thread the OS starts late cannot
+        // let the other one drain (and steal) every queue first.
         let started = Mutex::new(Vec::new());
+        let first_on_worker = [AtomicUsize::new(1), AtomicUsize::new(1)];
+        let both_started = std::sync::Barrier::new(2);
         let heavy = 30usize;
         let mut costs = vec![1u64; 32];
         costs[heavy] = 1_000;
         BatchScheduler::new(2).run_with_costs(
             (0..32usize)
                 .map(|i| {
-                    let started = &started;
-                    move |_w: usize| {
+                    let (started, first_on_worker, both_started) =
+                        (&started, &first_on_worker, &both_started);
+                    move |w: usize| {
                         started.lock().unwrap().push(i);
+                        if first_on_worker[w].swap(0, Ordering::SeqCst) == 1 {
+                            both_started.wait();
+                        }
                     }
                 })
                 .collect(),

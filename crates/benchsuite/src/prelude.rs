@@ -247,14 +247,16 @@ mod tests {
     #[test]
     fn prelude_parses_and_validates() {
         let m = parse_module(PRELUDE).unwrap();
-        assert!(m.validate().is_empty(), "{:?}", m.validate());
+        let ds = cycleq::analyze(&m);
+        assert!(ds.is_empty(), "{ds:?}");
         assert!(m.program.trs.len() > 50);
     }
 
     #[test]
     fn mutual_prelude_parses_and_validates() {
         let m = parse_module(MUTUAL_PRELUDE).unwrap();
-        assert!(m.validate().is_empty(), "{:?}", m.validate());
+        let ds = cycleq::analyze(&m);
+        assert!(ds.is_empty(), "{ds:?}");
         let term = m.program.sig.data_by_name("Term").unwrap();
         assert_eq!(m.program.sig.constructors_of(term).len(), 3);
     }

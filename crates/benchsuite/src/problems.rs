@@ -454,8 +454,9 @@ mod tests {
         for p in all_problems() {
             let Some(src) = p.source() else { continue };
             let m = parse_module(&src).unwrap_or_else(|e| panic!("{}: {e}", p.id));
+            // Remark 2.1's preconditions are checked per problem by the
+            // analyzer snapshot in tests/analysis_corpus.rs.
             assert!(m.goal(&p.goal_name()).is_some(), "{}", p.id);
-            assert!(m.validate().is_empty(), "{}: {:?}", p.id, m.validate());
         }
     }
 

@@ -16,9 +16,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cycleq::{
-    analyze_source, analyze_with_fixes, available_parallelism, check_certificate, unified_diff,
-    BatchReport, BatchScheduler, Diagnostic, Engine, Outcome, ProveEvent, RetryPolicy,
-    SearchConfig, SearchStats, Session, Verdict,
+    analyze, analyze_source, analyze_with_fixes, available_parallelism, check_certificate,
+    unified_diff, BatchReport, BatchScheduler, Code, Diagnostic, Engine, Outcome, ProveEvent,
+    RetryPolicy, SearchConfig, SearchStats, Session, Verdict,
 };
 
 /// Some goal was not proved, but none was refuted (exhausted / timeout /
@@ -84,8 +84,6 @@ OPTIONS:
     --format FMT        Output format: `text` (default) or `json` — one
                         machine-readable JSON object per goal plus a batch
                         summary object, one per line, on stdout
-    --validate          Print standing-assumption warnings (pattern
-                        completeness, orthogonality) before proving
     --emit-certs DIR    Export a self-contained certificate for every
                         proved goal to DIR/<goal>.cqc, re-validatable
                         later with `cycleq check`
@@ -141,7 +139,6 @@ struct Options {
     dot: bool,
     proof: bool,
     stats: bool,
-    validate: bool,
     emit_certs: Option<String>,
     trace_out: Option<String>,
     metrics_out: Option<String>,
@@ -167,7 +164,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         dot: false,
         proof: true,
         stats: false,
-        validate: false,
         emit_certs: None,
         trace_out: None,
         metrics_out: None,
@@ -198,7 +194,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             "--dot" => opts.dot = true,
             "--no-proof" => opts.proof = false,
             "--stats" => opts.stats = true,
-            "--validate" => opts.validate = true,
             "--emit-certs" => {
                 let dir = it.next().ok_or("--emit-certs requires a value")?;
                 opts.emit_certs = Some(dir.clone());
@@ -449,17 +444,29 @@ fn run(opts: &Options) -> Result<Tally, String> {
     // Static-analysis findings go to stderr before any proving, without
     // affecting the verdicts or the exit code: an overlapping or
     // non-terminating program is still *attempted* (matching the paper's
-    // tool), just no longer silently.
-    for d in session.analyze() {
+    // tool), just no longer silently. Unreachable equations (CQ005) say
+    // nothing about the goals' soundness, so they are summarized in one
+    // line; `cycleq lint` lists them. Fixes are never printed here, so
+    // plain `analyze` skips their synthesis.
+    let mut unreachable = 0;
+    for d in analyze(session.module()) {
+        if d.code == Code::Unreachable {
+            unreachable += 1;
+            continue;
+        }
         match d.line {
             Some(line) => eprintln!("{}:{line}: {d}", opts.file),
             None => eprintln!("{}: {d}", opts.file),
         }
     }
-    if opts.validate {
-        for warning in session.validate() {
-            eprintln!("warning: {warning}");
-        }
+    if unreachable > 0 {
+        eprintln!(
+            "{file}: warning[{}]: {unreachable} function{} unreachable from any goal; \
+             run `cycleq lint {file}` for the list",
+            Code::Unreachable,
+            if unreachable == 1 { " is" } else { "s are" },
+            file = opts.file,
+        );
     }
     let goals: Vec<String> = if opts.goals.is_empty() {
         session.goal_names().iter().map(|g| g.to_string()).collect()

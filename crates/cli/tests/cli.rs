@@ -900,6 +900,44 @@ fn prove_prints_diagnostics_to_stderr_without_failing() {
 }
 
 #[test]
+fn prove_summarizes_unreachable_equations_and_keeps_other_diagnostics() {
+    // `add` and `mul` are unreachable from the goal (CQ005), and `sub` has
+    // the fig. 2 joinable overlap (CQ002). `prove` folds the CQ005
+    // findings into one line per file; the CQ002 warning stays in full.
+    let file = lint_file(
+        "prove_cq005.hs",
+        "data Nat = Z | S Nat\nsub :: Nat -> Nat -> Nat\nsub Z y = Z\nsub x Z = x\nsub (S x) (S y) = sub x y\nadd :: Nat -> Nat -> Nat\nadd Z y = y\nadd (S x) y = S (add x y)\nmul :: Nat -> Nat -> Nat\nmul Z y = Z\nmul (S x) y = add y (mul x y)\ngoal g1: sub x Z === x\n",
+    );
+    let path = file.to_str().unwrap();
+    let out = run(&["--no-proof", path]);
+    assert_eq!(out.status.code(), Some(0));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(
+        lines,
+        vec![
+            format!(
+                "{path}:3: warning[CQ002]: clauses for `sub` overlap: the clauses at lines 3 \
+                 and 4 match the same terms"
+            ),
+            format!(
+                "{path}: warning[CQ005]: 2 functions are unreachable from any goal; \
+                 run `cycleq lint {path}` for the list"
+            ),
+        ],
+        "{stderr}"
+    );
+    // `lint` still lists every unreachable function on its own line.
+    let out = run(&["lint", path]);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        stdout.contains(":7: warning[CQ005]: `add` and its 2 equations")
+            && stdout.contains(":10: warning[CQ005]: `mul` and its 2 equations"),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn prove_on_clean_programs_prints_no_diagnostics() {
     let file = quickstart();
     let out = run(&["--no-proof", file.to_str().unwrap()]);

@@ -392,22 +392,14 @@ impl Session {
         &self.module.program
     }
 
-    /// Warnings from validating the paper's standing assumptions
-    /// (pattern completeness, orthogonality; Remark 2.1).
-    pub fn validate(&self) -> Vec<String> {
-        self.module.validate()
-    }
-
     /// Runs the full static analysis over the loaded module: the
     /// soundness preconditions of Remark 2.1 (pattern coverage,
     /// orthogonality, the size-change termination pre-screen) plus the
-    /// dead-code sweep, as structured [`Diagnostic`]s with stable codes
-    /// and source lines. The structured counterpart of
-    /// [`Session::validate`]; surfaced on the CLI as `cycleq lint`.
+    /// dead-code sweep, as structured [`Diagnostic`]s with stable codes,
+    /// source lines and machine-applicable fixes; surfaced on the CLI as
+    /// `cycleq lint`.
     pub fn analyze(&self) -> Vec<Diagnostic> {
-        let mut diags = cycleq_analysis::analyze(&self.module);
-        cycleq_analysis::attach_fixes(&self.module, &self.source, &mut diags);
-        diags
+        cycleq_analysis::analyze_module_source(&self.module, &self.source)
     }
 
     /// Analyzes the loaded source and applies every machine-applicable fix
@@ -1364,8 +1356,6 @@ goal comm: add x y === add y x
                 .unwrap();
         let ds = dodgy.analyze();
         assert!(ds.iter().any(|d| d.code == Code::SizeChange));
-        // Mirrors the legacy string-based validate().
-        assert!(!dodgy.validate().is_empty());
     }
 
     #[test]

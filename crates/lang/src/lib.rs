@@ -20,7 +20,6 @@
 //! ";
 //! let module = cycleq_lang::parse_module(src).expect("valid program");
 //! assert_eq!(module.goals.len(), 1);
-//! assert!(module.validate().is_empty());
 //! ```
 
 mod ast;

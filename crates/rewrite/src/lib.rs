@@ -12,8 +12,9 @@
 //!   analysis driving the `(Case)` rule (§6);
 //! - [`check_symbol`]/[`check_program`]: the pattern-completeness check
 //!   backing the "complete" assumption of Remark 2.1;
-//! - [`check_orthogonality`]: left-linearity + non-overlap, the syntactic
-//!   confluence criterion for the confluence assumption of Remark 2.1;
+//! - [`overlaps`]: left-linearity plus the root overlaps of same-function
+//!   clauses with their critical pairs, the syntactic confluence criterion
+//!   for the confluence assumption of Remark 2.1;
 //! - [`narrow_at`]: most-general-unifier narrowing, the engine of rewriting
 //!   induction's `Expand` (Definition 4.1);
 //! - [`Lpo`] and friends: the reduction orders of §4.
@@ -32,12 +33,11 @@
 
 mod blocked;
 mod completeness;
-mod critical_pairs;
 mod limits;
 mod memo;
 mod narrow;
 mod orders;
-mod orthogonality;
+mod overlap;
 mod reduce;
 mod rule;
 mod shared_cache;
@@ -48,14 +48,13 @@ pub mod fixtures;
 
 pub use blocked::{case_candidates, root_case_candidates};
 pub use completeness::{check_program, check_symbol, Completeness, WitnessPat};
-pub use critical_pairs::{critical_pairs, CriticalPair, CriticalPairs};
 pub use limits::{CancelToken, Interrupted, RunLimits};
 pub use memo::{MemoRewriter, NormalizedId};
 pub use narrow::{narrow_at, NarrowingStep};
 pub use orders::{
     check_rules_decreasing, DecreasingOrder, Lpo, Precedence, SubtermOrder, TermOrder,
 };
-pub use orthogonality::{check_orthogonality, OrthogonalityReport};
+pub use overlap::{overlaps, Overlap, Overlaps};
 pub use reduce::{Normalized, Rewriter, DEFAULT_FUEL};
 pub use rule::{Rule, RuleError, RuleId};
 pub use shared_cache::{CacheStats, SharedNormalFormCache};

@@ -27,8 +27,9 @@ impl RuleId {
 /// Rule variables are drawn from the owning [`crate::Trs`]'s variable store,
 /// a namespace disjoint from any goal's variables. Reduction only ever
 /// matches rule patterns *against* goal terms (one-sided), so no renaming is
-/// needed; narrowing and critical pairs freshen rules explicitly via
-/// [`crate::Trs::freshen_rule`].
+/// needed; narrowing freshens rules explicitly via
+/// [`crate::Trs::freshen_rule`], and [`crate::overlaps`] renames clause
+/// pairs apart.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Rule {
     head: SymId,

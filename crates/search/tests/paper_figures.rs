@@ -1,13 +1,19 @@
 //! End-to-end search tests reproducing the proofs shown as figures in the
 //! paper, parsed through the frontend.
 
+use cycleq_analysis::Code;
 use cycleq_lang::parse_module;
 use cycleq_proof::{check, GlobalCheck};
 use cycleq_search::{Outcome, Prover, SearchConfig};
 
 fn prove(src: &str, goal: &str) -> (cycleq_search::ProofResult, cycleq_lang::Module) {
     let module = parse_module(src).expect("valid program");
-    assert!(module.validate().is_empty(), "{:?}", module.validate());
+    // Remark 2.1's preconditions hold; dead-code hygiene is not checked.
+    let violations: Vec<_> = cycleq_analysis::analyze(&module)
+        .into_iter()
+        .filter(|d| !matches!(d.code, Code::Unreachable | Code::Unused | Code::Shadowed))
+        .collect();
+    assert!(violations.is_empty(), "{violations:?}");
     let g = module.goal(goal).expect("goal exists").clone();
     let prover = Prover::new(&module.program);
     let res = prover.prove(g.eq, g.vars);

@@ -28,8 +28,9 @@ goal bogus: len (app xs ys) === len xs
     let session = Session::from_source(source)?;
 
     // The program satisfies the paper's standing assumptions (Remark 2.1):
-    // complete pattern matching and orthogonal (hence confluent) rules.
-    assert!(session.validate().is_empty());
+    // the analyzer finds no incomplete pattern match, overlap or
+    // termination suspect (nor any other finding).
+    assert!(session.analyze().is_empty());
 
     for goal in ["lenApp", "addZero", "bogus"] {
         let verdict = session.prove(goal)?;

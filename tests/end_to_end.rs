@@ -28,7 +28,8 @@ goal lenApp: len (app xs ys) === add (len xs) (len ys)
 #[test]
 fn list_theory_proves_end_to_end() {
     let session = Session::from_source(NAT_LIST).unwrap();
-    assert!(session.validate().is_empty());
+    let ds = session.analyze();
+    assert!(ds.is_empty(), "{ds:?}");
     for goal in ["appAssoc", "appNil", "lenApp"] {
         let v = session.prove(goal).unwrap();
         assert!(v.is_proved(), "{goal}: {:?}", v.result.outcome);

@@ -2,10 +2,12 @@
 //! deterministic counters across job counts, span collection, and the
 //! `Session::profile` / `Engine::metrics` surfaces.
 //!
-//! The span/metrics machinery is process-global, so the tests that enable
-//! collection or compare registry snapshots serialize on [`registry_lock`];
-//! the event-sink and counter-determinism tests read only per-goal state
-//! and run freely in parallel.
+//! The span/metrics machinery is process-global: every test that proves
+//! goals emits `prove_goal` spans, which land in whatever collection is
+//! running at the time. So every test here serializes on [`registry_lock`],
+//! including the event-sink and counter-determinism tests that only read
+//! per-goal state — otherwise their spans would leak into
+//! `collected_trace_brackets_every_goal_per_thread`.
 
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
@@ -75,6 +77,7 @@ fn prove_all_collecting(jobs: usize) -> (cycleq::BatchReport, Vec<ProveEvent>) {
 
 #[test]
 fn concurrent_events_bracket_every_goal_and_carry_round_times() {
+    let _guard = registry_lock();
     for jobs in [1, 4] {
         let (report, log) = prove_all_collecting(jobs);
         assert!(report.all_proved(), "jobs={jobs}");
@@ -132,6 +135,7 @@ fn concurrent_events_bracket_every_goal_and_carry_round_times() {
 
 #[test]
 fn counter_totals_are_deterministic_across_job_counts() {
+    let _guard = registry_lock();
     // With the shared normal-form cache disabled, every goal's search is
     // fully independent, so per-goal counters — and their batch totals —
     // must be identical whatever the worker count.
