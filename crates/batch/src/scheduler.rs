@@ -377,24 +377,41 @@ mod tests {
         // remaining short tasks instead of idling. If stealing is broken
         // the short tasks seeded behind the long one would wait the full
         // sleep, and distinct_workers would be 1.
+        //
+        // Round-robin seeding puts task 0 at the front of worker 0's
+        // deque and tasks 3 and 6 behind it. Every other task first waits
+        // for task 0 to start, so no single worker can drain the whole
+        // batch before its peers are scheduled: task 0 runs on worker 0,
+        // and the rest — tasks 3 and 6 included — on the other workers.
         let workers_seen = Mutex::new(std::collections::BTreeSet::new());
+        let started = AtomicUsize::new(0);
         let done = AtomicUsize::new(0);
         BatchScheduler::new(3).run(
             (0..9)
                 .map(|i| {
                     let workers_seen = &workers_seen;
+                    let started = &started;
                     let done = &done;
                     move |w: usize| {
                         workers_seen.lock().unwrap().insert(w);
+                        let deadline = std::time::Instant::now() + Duration::from_secs(10);
                         if i == 0 {
+                            started.store(1, Ordering::SeqCst);
                             // Wait until everyone else finished: only
                             // possible if the other workers made progress
                             // concurrently (and stole worker 0's share).
-                            let deadline = std::time::Instant::now() + Duration::from_secs(10);
                             while done.load(Ordering::SeqCst) < 8 {
                                 assert!(
                                     std::time::Instant::now() < deadline,
                                     "peers never stole worker 0's queued tasks"
+                                );
+                                thread::sleep(Duration::from_millis(1));
+                            }
+                        } else {
+                            while started.load(Ordering::SeqCst) == 0 {
+                                assert!(
+                                    std::time::Instant::now() < deadline,
+                                    "task 0 never started"
                                 );
                                 thread::sleep(Duration::from_millis(1));
                             }

@@ -1090,8 +1090,14 @@ mod tests {
         let token = CancelToken::new();
         let worker_token = token.clone();
         let prover = Prover::with_config(&prog, config);
+        // The search thread may be scheduled late under a loaded test
+        // harness; the barrier makes the 30 ms of search below start only
+        // once it runs, so the token fires mid-reduction rather than
+        // before the search began.
+        let running = std::sync::Barrier::new(2);
         let (res, waited) = std::thread::scope(|s| {
             let handle = s.spawn(|| {
+                running.wait();
                 prover.prove_with_budget(
                     goal,
                     VarStore::new(),
@@ -1100,7 +1106,8 @@ mod tests {
                     Some(&worker_token),
                 )
             });
-            std::thread::sleep(Duration::from_millis(30));
+            running.wait();
+            std::thread::sleep(Duration::from_millis(40));
             token.cancel();
             let cancelled_at = Instant::now();
             let res = handle.join().expect("search thread panicked");

@@ -23,6 +23,20 @@
 //! memoized across the whole search — including across backtracking, since
 //! the store is append-only and survives [`IncrementalClosure::undo_to`].
 //!
+//! # Indexed saturation
+//!
+//! A graph `g : a → b` composes only with graphs on pairs `(c, a)` and
+//! `(b, d)`. The closure keeps, per node, the sorted lists of successors
+//! and predecessors through non-empty pairs, updated when a pair's first
+//! graph is inserted or its last one undone. Inserting `g` therefore
+//! visits just its neighbours instead of every retained pair, while the
+//! pair table itself is an id-hashed map (see [`crate::store`]) that is
+//! only ever probed by key. The neighbours are visited in the order a
+//! scan of all pairs in key order would meet them, so the worklist — and
+//! with subsumption pruning the retained set — is the same as that of the
+//! full scan, which the `indexed_saturation_matches_full_scan` property
+//! test pins.
+//!
 //! # Subsumption pruning
 //!
 //! Write `w ⊑ g` when every edge of `w` occurs in `g` with an equal or
@@ -71,13 +85,12 @@
 //! by the idempotence side condition; keeping all self-loops discharges
 //! that side condition by exhaustiveness.
 
-use std::collections::BTreeMap;
 use std::hash::Hash;
 
 use crate::closure::Soundness;
 use crate::graph::ScGraph;
 use crate::idvec::SmallIdVec;
-use crate::store::{GraphId, GraphStore};
+use crate::store::{GraphId, GraphStore, IdHashMap};
 
 /// A checkpoint into the trail of an [`IncrementalClosure`]; obtain with
 /// [`IncrementalClosure::mark`] and restore with
@@ -85,16 +98,40 @@ use crate::store::{GraphId, GraphStore};
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct Mark(pub(crate) usize);
 
+/// Adds `n` to the sorted list of `key` in a per-node index.
+fn index_insert<N: Copy + Ord + Hash>(index: &mut IdHashMap<N, Vec<N>>, key: N, n: N) {
+    let list = index.entry(key).or_default();
+    let at = list.partition_point(|&x| x < n);
+    list.insert(at, n);
+}
+
+/// Removes `n` from the sorted list of `key`, dropping the list once empty.
+fn index_remove<N: Copy + Ord + Hash>(index: &mut IdHashMap<N, Vec<N>>, key: N, n: N) {
+    let list = index.get_mut(&key).expect("indexed pair");
+    let at = list.partition_point(|&x| x < n);
+    list.remove(at);
+    if list.is_empty() {
+        index.remove(&key);
+    }
+}
+
 /// The composition closure of a growing set of proof edges, with undo.
 #[derive(Clone, Debug)]
 pub struct IncrementalClosure<V, N> {
     store: GraphStore<V>,
-    /// Retained graphs per node pair. A `BTreeMap` keeps saturation
-    /// deterministic: with subsumption pruning the retained set depends on
-    /// the order compositions are expanded, and a hash map's per-instance
-    /// random iteration order would make two identical edge sequences
-    /// retain different (though verdict-equivalent) sets.
-    graphs: BTreeMap<(N, N), SmallIdVec>,
+    /// Retained graphs per node pair; a pair is present exactly when its
+    /// list is non-empty. Never iterated on the search path, so its hash
+    /// order cannot leak into saturation.
+    graphs: IdHashMap<(N, N), SmallIdVec>,
+    /// Per node `n`, every `d` with a retained graph between `(n, d)`, and
+    /// every `c` with one between `(c, n)`: saturation visits only the
+    /// pairs that compose with a new graph. The lists are sorted to keep
+    /// saturation deterministic: with subsumption pruning the retained
+    /// set depends on the order compositions are expanded, and an
+    /// unordered index would make two identical edge sequences retain
+    /// different (though verdict-equivalent) sets.
+    succ: IdHashMap<N, Vec<N>>,
+    pred: IdHashMap<N, Vec<N>>,
     /// Insertion log: (src, dst, graph, was_bad).
     trail: Vec<(N, N, GraphId, bool)>,
     /// Number of currently-present idempotent self-loops without a strict
@@ -118,7 +155,9 @@ impl<V, N> Default for IncrementalClosure<V, N> {
     fn default() -> Self {
         IncrementalClosure {
             store: GraphStore::default(),
-            graphs: BTreeMap::new(),
+            graphs: IdHashMap::default(),
+            succ: IdHashMap::default(),
+            pred: IdHashMap::default(),
             trail: Vec::new(),
             bad: 0,
             live: 0,
@@ -200,23 +239,66 @@ where
             if is_bad {
                 self.bad += 1;
             }
-            self.graphs.entry((a, b)).or_default().push(g);
+            let set = self.graphs.entry((a, b)).or_default();
+            let fresh = set.is_empty();
+            set.push(g);
+            if fresh {
+                index_insert(&mut self.succ, a, b);
+                index_insert(&mut self.pred, b, a);
+            }
             self.live += 1;
             self.trail.push((a, b, g, is_bad));
-            for (&(c, d), set) in self.graphs.iter() {
-                if d == a {
-                    for &h in set.iter() {
-                        worklist.push((c, b, self.store.seq(h, g)));
-                    }
-                }
-                if c == b {
-                    for &h in set.iter() {
-                        worklist.push((a, d, self.store.seq(g, h)));
-                    }
-                }
+            self.expand(a, b, g, &mut worklist);
+        }
+        self.store.flush_memo_hits();
+        self.soundness()
+    }
+
+    /// Pushes every composite of the freshly retained `g : a → b` with a
+    /// retained neighbour: `h ; g` for each `h : c → a` and `g ; h` for
+    /// each `h : b → d`.
+    ///
+    /// The order is the one a scan over all pairs in `(c, d)` key order
+    /// produces, which fixes the worklist and hence the retained set:
+    /// pairs `(c, a)` with `c < b`, then the pairs `(b, d)` by `d` — where
+    /// `(b, a)` yields its `h ; g` composites before its `g ; h` ones —
+    /// then pairs `(c, a)` with `c > b`.
+    fn expand(&mut self, a: N, b: N, g: GraphId, worklist: &mut Vec<(N, N, GraphId)>) {
+        let IncrementalClosure {
+            store,
+            graphs,
+            succ,
+            pred,
+            ..
+        } = self;
+        let preds = pred.get(&a).map_or(&[][..], Vec::as_slice);
+        let succs = succ.get(&b).map_or(&[][..], Vec::as_slice);
+        let split = preds.partition_point(|&c| c < b);
+        for &c in &preds[..split] {
+            for &h in graphs[&(c, a)].iter() {
+                worklist.push((c, b, store.seq_unflushed(h, g)));
             }
         }
-        self.soundness()
+        for &d in succs {
+            let set = &graphs[&(b, d)];
+            if d == a {
+                for &h in set.iter() {
+                    worklist.push((b, b, store.seq_unflushed(h, g)));
+                }
+            }
+            for &h in set.iter() {
+                worklist.push((a, d, store.seq_unflushed(g, h)));
+            }
+        }
+        for &c in &preds[split..] {
+            // `(b, a)` was expanded with the successors of `b`.
+            if c == b {
+                continue;
+            }
+            for &h in graphs[&(c, a)].iter() {
+                worklist.push((c, b, store.seq_unflushed(h, g)));
+            }
+        }
     }
 
     /// The current verdict: sound unless some idempotent self-loop without a
@@ -231,18 +313,22 @@ where
 
     /// A witness of unsoundness — a node and a resolved idempotent
     /// self-loop graph without a strict self-edge — if one is present.
+    /// With several, the one at the least node wins, so the witness does
+    /// not depend on hash order.
     pub fn unsound_witness(&self) -> Option<(N, ScGraph<V>)> {
-        self.graphs.iter().find_map(|(&(a, b), set)| {
-            if a != b {
-                return None;
-            }
-            // `add_edge_id` forced the idempotence flag of every self-loop
-            // graph that lacks a strict self-edge, so this scan runs on
-            // cached flags.
-            set.iter()
-                .find(|&&g| !self.store.has_strict_self_edge(g) && self.store.is_idempotent(g))
-                .map(|&g| (a, self.store.resolve(g)))
-        })
+        self.graphs
+            .iter()
+            .filter(|(&(a, b), _)| a == b)
+            .filter_map(|(&(a, _), set)| {
+                // `add_edge_id` forced the idempotence flag of every
+                // self-loop graph that lacks a strict self-edge, so this
+                // scan runs on cached flags.
+                set.iter()
+                    .find(|&&g| !self.store.has_strict_self_edge(g) && self.store.is_idempotent(g))
+                    .map(|&g| (a, g))
+            })
+            .min_by_key(|&(a, _)| a)
+            .map(|(a, g)| (a, self.store.resolve(g)))
     }
 
     /// Restores the state captured by `mark`, removing every graph inserted
@@ -267,6 +353,8 @@ where
                 self.live -= 1;
                 if set.is_empty() {
                     self.graphs.remove(&(a, b));
+                    index_remove(&mut self.succ, a, b);
+                    index_remove(&mut self.pred, b, a);
                 }
             }
         }

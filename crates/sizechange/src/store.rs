@@ -36,10 +36,21 @@
 //! interning idempotent. [`ScGraph`] remains the construction-facing API
 //! (and the executable specification the property tests compare against);
 //! it lowers into the store via [`GraphStore::intern`].
+//!
+//! # Id hashing
+//!
+//! The composition memo (`(GraphId, GraphId) → GraphId`) and the
+//! closure's node-pair table are keyed by small dense ids and sit on the
+//! hottest path of proof search, so they use `IdHasher`, a
+//! multiplicative hasher in the style of rustc's `FxHasher`, instead of
+//! the standard SipHash. It is deliberately not randomized: its keys are
+//! dense ids the program assigns itself (graphs, proof nodes, function
+//! symbols), never input chosen from outside, so there is no
+//! hash-flooding risk to defend against.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use crate::graph::{Label, ScGraph};
 
@@ -56,6 +67,40 @@ impl GraphId {
         self.0 as usize
     }
 }
+
+/// A multiplicative hasher for dense internal ids (see module docs).
+#[derive(Clone, Copy, Default)]
+pub(crate) struct IdHasher(u64);
+
+impl IdHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The product's well-mixed bits are the high ones; hash tables
+        // index buckets with the low ones.
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+}
+
+/// A `HashMap` keyed through [`IdHasher`].
+pub(crate) type IdHashMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// Canonical bit-plane representation of one graph (see module docs).
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
@@ -80,14 +125,18 @@ fn set_bit(words: &mut [u64], j: usize) {
     words[j / 64] |= 1 << (j % 64);
 }
 
-/// Whether every set bit of `w_row`, remapped through `col_map`, is also
-/// set in `g_row`. Bails out on the first missing bit.
-fn row_contained(w_row: &[u64], col_map: &[usize], g_row: &[u64]) -> bool {
+/// Whether every set bit of `w_row` (over columns `w_cols`) is also set
+/// in `g_row` (over columns `g_cols`, a superset of `w_cols`). Bails out
+/// on the first missing bit.
+fn row_contained(w_row: &[u64], w_cols: &[u32], g_row: &[u64], g_cols: &[u32]) -> bool {
     for (wi, &word) in w_row.iter().enumerate() {
         let mut m = word;
         while m != 0 {
             let j = wi * 64 + m.trailing_zeros() as usize;
-            if !bit(g_row, col_map[j]) {
+            let k = g_cols
+                .binary_search(&w_cols[j])
+                .expect("columns checked by the caller");
+            if !bit(g_row, k) {
                 return false;
             }
             m &= m - 1;
@@ -226,9 +275,12 @@ pub struct GraphStore<V> {
     var_ids: HashMap<V, u32>,
     nodes: Vec<GraphNode>,
     dedup: HashMap<GraphData, GraphId>,
-    seq_memo: HashMap<(GraphId, GraphId), GraphId>,
+    seq_memo: IdHashMap<(GraphId, GraphId), GraphId>,
     compositions: u64,
     memo_hits: u64,
+    /// The part of `memo_hits` already added to the process-wide counter;
+    /// see [`GraphStore::flush_memo_hits`].
+    published_memo_hits: u64,
 }
 
 impl<V> Default for GraphStore<V> {
@@ -238,9 +290,10 @@ impl<V> Default for GraphStore<V> {
             var_ids: HashMap::new(),
             nodes: Vec::new(),
             dedup: HashMap::new(),
-            seq_memo: HashMap::new(),
+            seq_memo: IdHashMap::default(),
             compositions: 0,
             memo_hits: 0,
+            published_memo_hits: 0,
         }
     }
 }
@@ -322,9 +375,18 @@ where
     /// Memoized sequential composition: `a : u → v` then `b : v → w`
     /// yields `u → w` (the paper's `b ∘ a`, Definition 5.2).
     pub fn seq(&mut self, a: GraphId, b: GraphId) -> GraphId {
+        let r = self.seq_unflushed(a, b);
+        self.flush_memo_hits();
+        r
+    }
+
+    /// [`GraphStore::seq`] without publishing a memo hit to the
+    /// process-wide counter: the closure's saturation loop calls this
+    /// millions of times per search and publishes once per inserted edge
+    /// through [`GraphStore::flush_memo_hits`].
+    pub(crate) fn seq_unflushed(&mut self, a: GraphId, b: GraphId) -> GraphId {
         if let Some(&r) = self.seq_memo.get(&(a, b)) {
             self.memo_hits += 1;
-            crate::metrics::store_metrics().memo_hits.inc();
             return r;
         }
         self.compositions += 1;
@@ -333,6 +395,16 @@ where
         let r = self.intern_data(data);
         self.seq_memo.insert((a, b), r);
         r
+    }
+
+    /// Adds the memo hits counted since the last flush to the process-wide
+    /// `cycleq_sizechange_memo_hits_total` counter.
+    pub(crate) fn flush_memo_hits(&mut self) {
+        let delta = self.memo_hits - self.published_memo_hits;
+        if delta > 0 {
+            crate::metrics::store_metrics().memo_hits.add(delta);
+            self.published_memo_hits = self.memo_hits;
+        }
     }
 
     /// Whether `weak ⊑ strong`: every edge of `weak` is present in
@@ -349,16 +421,12 @@ where
         if w.srcs.len() > g.srcs.len() || w.cols.len() > g.cols.len() {
             return false;
         }
+        let same_cols = w.cols == g.cols;
         // Canonicity: every column of `w` carries an edge, so a column
         // missing from `g` refutes containment outright.
-        let mut col_map = Vec::with_capacity(w.cols.len());
-        for &c in w.cols.iter() {
-            match g.cols.binary_search(&c) {
-                Ok(k) => col_map.push(k),
-                Err(_) => return false,
-            }
+        if !same_cols && w.cols.iter().any(|c| g.cols.binary_search(c).is_err()) {
+            return false;
         }
-        let same_cols = w.cols == g.cols;
         for (i, &s) in w.srcs.iter().enumerate() {
             let Ok(gi) = g.srcs.binary_search(&s) else {
                 return false;
@@ -372,8 +440,8 @@ where
                 if !any_ok || !strict_ok {
                     return false;
                 }
-            } else if !row_contained(w_any, &col_map, g_any)
-                || !row_contained(w_strict, &col_map, g_strict)
+            } else if !row_contained(w_any, &w.cols, g_any, &g.cols)
+                || !row_contained(w_strict, &w.cols, g_strict, &g.cols)
             {
                 return false;
             }

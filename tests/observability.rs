@@ -250,3 +250,31 @@ fn engine_metrics_snapshot_counts_finished_goals() {
     assert!(prom.contains("# TYPE cycleq_goals_total counter"));
     assert!(prom.contains("cycleq_goal_seconds_bucket{le=\"+Inf\"}"));
 }
+
+#[test]
+fn sizechange_memo_hits_reach_the_registry_exactly() {
+    let _guard = registry_lock();
+    // The closure counts memo hits locally and publishes them once per
+    // inserted edge; no hit may be lost or counted twice on the way. The
+    // recheck is off so the search's closure is the only graph store
+    // composing while the snapshot window is open.
+    let engine = Engine::builder()
+        .config(SearchConfig {
+            timeout: Some(Duration::from_secs(10)),
+            ..SearchConfig::default()
+        })
+        .recheck(false)
+        .build();
+    let session = engine.load(SUITE_SRC).expect("suite source loads");
+    let before = engine.metrics();
+    let verdict = session.prove("addComm").expect("proves");
+    assert!(verdict.is_proved());
+    let delta = engine.metrics().delta(&before);
+    let hits = verdict.result.stats.composition_memo_hits;
+    assert!(hits > 0, "addComm must exercise the composition memo");
+    assert_eq!(
+        delta.value("cycleq_sizechange_memo_hits_total"),
+        Some(hits),
+        "registry memo hits must equal the goal's composition_memo_hits"
+    );
+}
