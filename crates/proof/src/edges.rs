@@ -115,125 +115,35 @@ pub fn check_global(proof: &Preproof) -> Soundness {
 ///
 /// The closure condition of Theorem 5.2 only inspects *self-loops*
 /// `g ∈ closure(v, v)`, and every composition path from `v` back to `v`
-/// stays, by definition, inside `v`'s strongly connected component. Edges
-/// that cross between components can therefore never contribute to a
-/// self-loop, so the closure may be computed per-SCC over each component's
-/// internal edges only. On typical proofs the cyclic core is a small
-/// fraction of the node count — the tree-shaped remainder (where the
-/// closure's composition blow-up would otherwise spend its time) is
-/// skipped entirely.
+/// stays, by definition, inside `v`'s strongly connected component. The
+/// edges are replayed into one cycle-only [`IncrementalClosure`], which
+/// tracks the components as they form and composes only the edges inside
+/// them. On typical proofs the cyclic core is a small fraction of the node
+/// count — the tree-shaped remainder (where the closure's composition
+/// blow-up would otherwise spend its time) is logged but never composed.
 pub fn check_global_scc(proof: &Preproof) -> Soundness {
-    let sccs = tarjan_sccs(proof);
-    // Component id per node, to recognise internal edges.
-    let mut comp = vec![usize::MAX; proof.len()];
-    for (c, members) in sccs.iter().enumerate() {
-        for &v in members {
-            comp[v.index()] = c;
-        }
-    }
-    // One closure per SCC (not one shared closure): the incremental
-    // engine's saturation scans its retained pairs for composition
-    // partners, so keeping each component's closure private keeps that
-    // scan proportional to the component, not the proof. Saturation is
-    // incremental with subsumption pruning — inside a cyclic core the same
-    // composite graphs recur constantly, and dropping dominated graphs
-    // keeps the per-pair sets small.
-    for (c, members) in sccs.iter().enumerate() {
-        // A single node with no self-edge has no self-loops to check.
-        if members.len() == 1 {
-            let v = members[0];
-            if !proof.node(v).premises.contains(&v) {
-                continue;
-            }
-        }
-        let mut closure = IncrementalClosure::new();
-        for &v in members {
-            for (i, &p) in proof.node(v).premises.iter().enumerate() {
-                if comp[p.index()] == c {
-                    let g = edge_graph_id(proof, v, i, closure.store_mut());
-                    if closure.add_edge_id(v, p, g) == Soundness::Unsound {
-                        return Soundness::Unsound;
-                    }
-                }
-            }
-        }
-    }
-    Soundness::Sound
-}
-
-/// Iterative Tarjan over the premise graph. Returns the strongly connected
-/// components (each a list of node ids); order is irrelevant to the caller.
-fn tarjan_sccs(proof: &Preproof) -> Vec<Vec<NodeId>> {
-    const UNSEEN: u32 = u32::MAX;
-    let n = proof.len();
-    let mut index = vec![UNSEEN; n];
-    let mut low = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut next = 0u32;
-    let mut sccs = Vec::new();
-    // Explicit DFS frames: (node, next-premise-to-visit).
-    let mut frames: Vec<(u32, usize)> = Vec::new();
-    for root in 0..n {
-        if index[root] != UNSEEN {
-            continue;
-        }
-        frames.push((root as u32, 0));
-        while let Some(&mut (v, ref mut i)) = frames.last_mut() {
-            let vu = v as usize;
-            if *i == 0 {
-                index[vu] = next;
-                low[vu] = next;
-                next += 1;
-                stack.push(v);
-                on_stack[vu] = true;
-            }
-            let premises = &proof.node(NodeId::from_index(vu)).premises;
-            if let Some(&p) = premises.get(*i) {
-                *i += 1;
-                let pu = p.index();
-                if index[pu] == UNSEEN {
-                    frames.push((pu as u32, 0));
-                } else if on_stack[pu] {
-                    low[vu] = low[vu].min(index[pu]);
-                }
-            } else {
-                frames.pop();
-                if let Some(&mut (parent, _)) = frames.last_mut() {
-                    let pu = parent as usize;
-                    low[pu] = low[pu].min(low[vu]);
-                }
-                if low[vu] == index[vu] {
-                    let mut members = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w as usize] = false;
-                        members.push(NodeId::from_index(w as usize));
-                        if w == v {
-                            break;
-                        }
-                    }
-                    sccs.push(members);
-                }
-            }
-        }
-    }
-    sccs
+    replay(proof, &mut IncrementalClosure::cycle_only())
 }
 
 /// Replays the proof's edges through an [`IncrementalClosure`], returning
 /// the verdict. Exists so that tests and benches can compare the
 /// incremental engine against [`check_global`] on identical inputs.
 pub fn check_global_incremental(proof: &Preproof) -> Soundness {
-    let mut inc = IncrementalClosure::new();
-    let mut verdict = Soundness::Sound;
-    for (a, b, g) in global_edges(proof) {
-        verdict = inc.add_edge(a, b, g);
-        if verdict == Soundness::Unsound {
-            return verdict;
+    replay(proof, &mut IncrementalClosure::new())
+}
+
+/// Adds every edge of the proof to `closure`, in node and premise order,
+/// and stops at the first unsound verdict.
+fn replay(proof: &Preproof, closure: &mut IncrementalClosure<VarId, NodeId>) -> Soundness {
+    for (v, node) in proof.nodes() {
+        for (i, &p) in node.premises.iter().enumerate() {
+            let g = edge_graph_id(proof, v, i, closure.store_mut());
+            if closure.add_edge_id(v, p, g) == Soundness::Unsound {
+                return Soundness::Unsound;
+            }
         }
     }
-    verdict
+    Soundness::Sound
 }
 
 /// Extracts, for every back edge, one witness trace of variables around the
@@ -375,7 +285,7 @@ mod tests {
     #[test]
     fn scc_check_accepts_acyclic_proofs_without_closure_work() {
         // A pure tree (no back edges) has only trivial SCCs: sound by
-        // construction, and the per-SCC loop must skip every component.
+        // construction, and the cycle-only closure composes no edge.
         let p = nat_list_program();
         let mut proof = Preproof::new();
         let leaf_eq = Equation::new(Term::sym(p.f.nil), Term::sym(p.f.nil));
@@ -397,19 +307,28 @@ mod tests {
     }
 
     #[test]
-    fn tarjan_groups_the_cycle_and_isolates_the_leaf() {
+    fn cycle_only_replay_blames_the_self_premise_root() {
+        // Node 0 (root) is its own premise, so it forms a component with a
+        // self-edge whose only idempotent lacks a strict self-edge.
         let proof = example_3_2();
-        let mut sccs = tarjan_sccs(&proof);
-        for s in &mut sccs {
-            s.sort_by_key(|v| v.index());
-        }
-        sccs.sort_by_key(|s| s[0].index());
-        // Node 0 (root, self-premise) is its own SCC with a self-edge;
-        // node 1 (refl) is a trivial SCC.
-        assert_eq!(
-            sccs,
-            vec![vec![NodeId::from_index(0)], vec![NodeId::from_index(1)]]
-        );
+        let mut closure = IncrementalClosure::cycle_only();
+        assert_eq!(replay(&proof, &mut closure), Soundness::Unsound);
+        let witness = closure.unsound_witness().map(|(v, _)| v);
+        assert_eq!(witness, Some(NodeId::from_index(0)));
+    }
+
+    #[test]
+    fn cycle_only_replay_never_composes_the_edge_into_the_leaf() {
+        // Node 1 (refl) has no premises: a trivial component, so the edge
+        // from the root into it is logged but costs no composition.
+        let proof = example_3_2();
+        let (root, leaf) = (NodeId::from_index(0), NodeId::from_index(1));
+        let mut closure = IncrementalClosure::cycle_only();
+        let g = edge_graph_id(&proof, root, 1, closure.store_mut());
+        assert_eq!(closure.add_edge_id(root, leaf, g), Soundness::Sound);
+        assert_eq!(closure.compositions(), 0);
+        assert_eq!(closure.memo_hits(), 0);
+        assert_eq!(closure.num_graphs(), 0);
     }
 
     #[test]

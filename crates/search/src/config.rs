@@ -85,6 +85,9 @@ pub struct SearchStats {
     /// Times the depth bound cut a branch.
     pub depth_limit_hits: usize,
     /// Size-change graphs currently in the closure at the end of search.
+    /// The search's closure is cycle-only, so this counts only graphs
+    /// between two nodes of the same strongly connected component of the
+    /// preproof.
     pub closure_graphs: usize,
     /// Cold size-change graph compositions performed by the closure's
     /// graph store (memo misses).

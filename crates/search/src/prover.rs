@@ -15,7 +15,6 @@
 //! without a strict self-edge appears, the cycle can never satisfy the
 //! global condition and the candidate is pruned immediately (§5.2).
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -24,7 +23,7 @@ use cycleq_proof::{edge_graph_id, CaseBranch, NodeId, Preproof, RuleApp, Side, S
 use cycleq_rewrite::{
     CancelToken, Interrupted, MemoRewriter, NormalizedId, Program, RunLimits, SharedNormalFormCache,
 };
-use cycleq_sizechange::{GraphId, IncrementalClosure, Mark, Soundness};
+use cycleq_sizechange::{IncrementalClosure, Mark, Soundness};
 use cycleq_term::{
     CanonKey, Equation, Head, IdSubst, Term, TermId, TyUnifier, Type, VarId, VarStore,
 };
@@ -280,8 +279,7 @@ impl<'a> Prover<'a> {
             depth_limit,
             proof: Preproof::with_vars(vars),
             rw,
-            closure: IncrementalClosure::new(),
-            edge_memo: HashMap::new(),
+            closure: IncrementalClosure::cycle_only(),
             lemmas: Vec::new(),
             path_keys: Vec::new(),
             stats: SearchStats::default(),
@@ -376,12 +374,9 @@ struct Search<'a> {
     rw: MemoRewriter<'a>,
     /// The incremental size-change closure; owns the round's
     /// [`cycleq_sizechange::GraphStore`], so compositions stay memoized
-    /// across backtracking.
+    /// across backtracking. Cycle-only: tree edges are logged, and only
+    /// edges inside a strongly connected component are composed.
     closure: IncrementalClosure<VarId, NodeId>,
-    /// The interned edge graph per `(node, premise)` justification,
-    /// invalidated on undo for reopened/truncated nodes (a re-justified
-    /// node gets different edge graphs).
-    edge_memo: HashMap<(NodeId, usize), GraphId>,
     /// Lemma candidates: `(Case)`-justified ancestors/cousins plus proven
     /// hints, in creation order.
     lemmas: Vec<NodeId>,
@@ -443,32 +438,18 @@ impl<'a> Search<'a> {
     }
 
     fn undo(&mut self, frame: Frame, node: NodeId) {
-        let keep = frame.proof.0;
         self.proof.truncate(frame.proof);
         self.proof.reopen(node);
         self.closure.undo_to(frame.closure);
         self.lemmas.truncate(frame.lemmas);
-        // Edge graphs are keyed by justification: entries of truncated
-        // nodes (their ids will be reused) and of the reopened node (it
-        // will be re-justified differently) are stale.
-        self.edge_memo
-            .retain(|&(n, _), _| n.index() < keep && n != node);
     }
 
     /// Adds the size-change edge for premise `i` of `v` to the incremental
-    /// closure. The graph is built directly into the closure's store and
-    /// memoised per `(node, premise)` justification for the lifetime of
-    /// that justification.
+    /// closure. The graph is built directly into the closure's store, whose
+    /// dedup table makes a recurring edge shape a hash lookup.
     fn add_proof_edge(&mut self, v: NodeId, i: usize) -> Soundness {
         let _span = cycleq_trace::span!("closure_update");
-        let g = match self.edge_memo.get(&(v, i)) {
-            Some(&g) => g,
-            None => {
-                let g = edge_graph_id(&self.proof, v, i, self.closure.store_mut());
-                self.edge_memo.insert((v, i), g);
-                g
-            }
-        };
+        let g = edge_graph_id(&self.proof, v, i, self.closure.store_mut());
         let p = self.proof.node(v).premises[i];
         self.closure.add_edge_id(v, p, g)
     }

@@ -84,13 +84,61 @@
 //! precisely because badness is an *anti*-monotone property interrupted
 //! by the idempotence side condition; keeping all self-loops discharges
 //! that side condition by exhaustiveness.
+//!
+//! # Cycle-only saturation
+//!
+//! [`IncrementalClosure::cycle_only`] builds a closure for proof search
+//! that composes only the edges the verdict can depend on. Theorem 5.2
+//! inspects only self-loops `g ∈ closure(v, v)`, and a closed walk through
+//! `v` never leaves `v`'s strongly connected component (SCC). Most of a
+//! search tree is acyclic, so an exhaustive closure spends most of its
+//! compositions on pairs that no self-loop ever reads.
+//!
+//! - **Edge log.** Every added proof edge is recorded in a per-node out-
+//!   and in-adjacency, whether or not it is composed.
+//! - **Components.** SCCs are tracked by a union-find without path
+//!   compression, so each union is one trail step. Along a search branch
+//!   edges are only added, so components only merge, and
+//!   [`IncrementalClosure::undo_to`] splits them back exactly.
+//! - **Active edges.** An edge is active when both endpoints lie in one
+//!   component. Only active edges are saturated, by the same indexed
+//!   worklist, subsumption test and memo as in the exhaustive mode.
+//! - **Merges.** An edge `u → w` between two components first searches
+//!   forward from `w` for `u`'s component, stopping at the first hit; a
+//!   fresh tree child has no successors, so this costs nothing. If the
+//!   search succeeds, the nodes on the paths `w →* u` form one component
+//!   with `u` and `w`: they are merged, and every logged edge between two
+//!   formerly separate components among them (the new edge included) is
+//!   activated, by source node and then insertion order, so identical
+//!   edge sequences retain identical sets.
+//!
+//! Why it is exact. A walk between two nodes of one component stays
+//! inside that component, since every node on it reaches both ends. The
+//! walks the exhaustive closure composes at such a pair therefore use
+//! only active edges, and the unpruned closure of a set of edges does not
+//! depend on their insertion order. So, unpruned, each pair inside a
+//! component retains the same graphs in both modes, and a pair across
+//! components retains none in cycle-only mode. In particular every
+//! `(v, v)` is the same, and with it the verdict and the least node of
+//! [`IncrementalClosure::unsound_witness`]. The pruned ≡ unpruned
+//! argument above holds for any insertion order, so it applies to the
+//! active edges as they are activated, and the pruned cycle-only verdict
+//! equals the pruned exhaustive one. A differential property test in this
+//! module checks both claims after every step of random add/mark/undo
+//! sequences.
+//!
+//! The exhaustive mode ([`IncrementalClosure::new`],
+//! [`IncrementalClosure::without_subsumption`]) remains the reference:
+//! it is the one pinned to a full scan of all pairs, and the only one
+//! whose [`IncrementalClosure::between`] answers for pairs that do not
+//! share a component.
 
 use std::hash::Hash;
 
 use crate::closure::Soundness;
 use crate::graph::ScGraph;
 use crate::idvec::SmallIdVec;
-use crate::store::{GraphId, GraphStore, IdHashMap};
+use crate::store::{GraphId, GraphStore, IdHashMap, IdHashSet};
 
 /// A checkpoint into the trail of an [`IncrementalClosure`]; obtain with
 /// [`IncrementalClosure::mark`] and restore with
@@ -115,6 +163,140 @@ fn index_remove<N: Copy + Ord + Hash>(index: &mut IdHashMap<N, Vec<N>>, key: N, 
     }
 }
 
+/// One undoable entry of the trail.
+#[derive(Copy, Clone, Debug)]
+enum Step<N> {
+    /// A graph retained between `(a, b)`, and whether it counted as bad.
+    Graph(N, N, GraphId, bool),
+    /// A proof edge `(src, dst)` logged by a cycle-only closure.
+    Edge(N, N),
+    /// The root `child` was linked under the root `root`, whose rank grew
+    /// by one when `bumped`.
+    Union { child: N, root: N, bumped: bool },
+}
+
+/// The edge log and strongly connected components of a cycle-only
+/// closure (see module docs).
+#[derive(Clone, Debug)]
+struct Components<N> {
+    /// Every proof edge added, per source, in insertion order.
+    out: IdHashMap<N, Vec<(N, GraphId)>>,
+    /// The source of every proof edge added, per target.
+    inn: IdHashMap<N, Vec<N>>,
+    /// Union-find links; a node without one is the root of its component.
+    /// There is no path compression, so each union is a single trail step.
+    parent: IdHashMap<N, N>,
+    /// Union-by-rank ranks; absent means 0.
+    rank: IdHashMap<N, u32>,
+}
+
+impl<N> Default for Components<N> {
+    fn default() -> Self {
+        Components {
+            out: IdHashMap::default(),
+            inn: IdHashMap::default(),
+            parent: IdHashMap::default(),
+            rank: IdHashMap::default(),
+        }
+    }
+}
+
+impl<N: Copy + Ord + Hash> Components<N> {
+    /// The root of `n`'s component.
+    fn find(&self, mut n: N) -> N {
+        while let Some(&p) = self.parent.get(&n) {
+            n = p;
+        }
+        n
+    }
+
+    fn succs(&self, n: N) -> impl Iterator<Item = N> + '_ {
+        self.out.get(&n).into_iter().flatten().map(|&(d, _)| d)
+    }
+
+    fn preds(&self, n: N) -> impl Iterator<Item = N> + '_ {
+        self.inn.get(&n).into_iter().flatten().copied()
+    }
+
+    /// Whether a node of the component rooted at `root` is reachable from
+    /// `from`, which lies outside it. Stops at the first one found, and
+    /// costs nothing for a node without successors (a fresh tree child).
+    fn reaches(&self, from: N, root: N) -> bool {
+        if self.succs(from).next().is_none() {
+            return false;
+        }
+        let mut seen = IdHashSet::default();
+        seen.insert(from);
+        let mut stack = vec![from];
+        while let Some(x) = stack.pop() {
+            if self.find(x) == root {
+                return true;
+            }
+            for y in self.succs(x) {
+                if seen.insert(y) {
+                    stack.push(y);
+                }
+            }
+        }
+        false
+    }
+
+    /// Every node reachable from `start`, forwards along edges or
+    /// backwards against them, without leaving `keep`.
+    fn walk(&self, start: N, forward: bool, keep: impl Fn(N) -> bool) -> IdHashSet<N> {
+        let mut seen = IdHashSet::default();
+        seen.insert(start);
+        let mut stack = vec![start];
+        while let Some(x) = stack.pop() {
+            let mut visit = |y| {
+                if keep(y) && seen.insert(y) {
+                    stack.push(y);
+                }
+            };
+            if forward {
+                self.succs(x).for_each(&mut visit);
+            } else {
+                self.preds(x).for_each(&mut visit);
+            }
+        }
+        seen
+    }
+
+    /// The nodes on some path `from →* to`, sorted. Once an edge
+    /// `to → from` exists they are exactly one component.
+    fn path_nodes(&self, from: N, to: N) -> Vec<N> {
+        let reach_to = self.walk(to, false, |_| true);
+        let mut nodes: Vec<N> = self
+            .walk(from, true, |x| reach_to.contains(&x))
+            .into_iter()
+            .collect();
+        nodes.sort_unstable();
+        nodes
+    }
+
+    /// Merges the components of `a` and `b`, returning the trail step that
+    /// undoes it, or `None` if they already coincide.
+    fn union(&mut self, a: N, b: N) -> Option<Step<N>> {
+        let (ra, rb) = (self.find(a), self.find(b));
+        if ra == rb {
+            return None;
+        }
+        let rank = |r: N| self.rank.get(&r).copied().unwrap_or(0);
+        let (rank_a, rank_b) = (rank(ra), rank(rb));
+        let (child, root) = if rank_a < rank_b { (ra, rb) } else { (rb, ra) };
+        let bumped = rank_a == rank_b;
+        self.parent.insert(child, root);
+        if bumped {
+            *self.rank.entry(root).or_default() += 1;
+        }
+        Some(Step::Union {
+            child,
+            root,
+            bumped,
+        })
+    }
+}
+
 /// The composition closure of a growing set of proof edges, with undo.
 #[derive(Clone, Debug)]
 pub struct IncrementalClosure<V, N> {
@@ -132,8 +314,8 @@ pub struct IncrementalClosure<V, N> {
     /// different (though verdict-equivalent) sets.
     succ: IdHashMap<N, Vec<N>>,
     pred: IdHashMap<N, Vec<N>>,
-    /// Insertion log: (src, dst, graph, was_bad).
-    trail: Vec<(N, N, GraphId, bool)>,
+    /// Everything undo has to revert, in order.
+    trail: Vec<Step<N>>,
     /// Number of currently-present idempotent self-loops without a strict
     /// self-edge. Non-zero means the current preproof cannot satisfy the
     /// global condition.
@@ -149,6 +331,9 @@ pub struct IncrementalClosure<V, N> {
     /// Graphs dropped by subsumption (monotone counter; drops are not
     /// state, so undo does not rewind it).
     subsumed: u64,
+    /// Present in cycle-only mode: the edge log and components deciding
+    /// which edges are saturated.
+    components: Option<Components<N>>,
 }
 
 impl<V, N> Default for IncrementalClosure<V, N> {
@@ -163,6 +348,7 @@ impl<V, N> Default for IncrementalClosure<V, N> {
             live: 0,
             subsumption: true,
             subsumed: 0,
+            components: None,
         }
     }
 }
@@ -183,6 +369,18 @@ where
     pub fn without_subsumption() -> IncrementalClosure<V, N> {
         IncrementalClosure {
             subsumption: false,
+            ..IncrementalClosure::default()
+        }
+    }
+
+    /// Creates an empty closure, with subsumption pruning, that saturates
+    /// only the edges inside strongly connected components (see "Cycle-only
+    /// saturation" in the module docs). Its verdict and unsoundness witness
+    /// are those of [`IncrementalClosure::new`]; it retains no graph
+    /// between two nodes of different components.
+    pub fn cycle_only() -> IncrementalClosure<V, N> {
+        IncrementalClosure {
+            components: Some(Components::default()),
             ..IncrementalClosure::default()
         }
     }
@@ -219,6 +417,54 @@ where
     /// [`IncrementalClosure::add_edge`] for a graph already interned in
     /// this closure's store.
     pub fn add_edge_id(&mut self, src: N, dst: N, graph: GraphId) -> Soundness {
+        if self.components.is_none() {
+            self.saturate(src, dst, graph);
+        } else {
+            for (a, b, g) in self.log_edge(src, dst, graph) {
+                self.saturate(a, b, g);
+            }
+        }
+        self.store.flush_memo_hits();
+        self.soundness()
+    }
+
+    /// Records a proof edge in cycle-only mode and returns the edges it
+    /// activates, in the order to saturate them: none while `dst` cannot
+    /// reach `src`, the edge itself inside a component, and on a merge
+    /// every edge between two of the merged components, by source node and
+    /// then insertion order.
+    fn log_edge(&mut self, src: N, dst: N, graph: GraphId) -> Vec<(N, N, GraphId)> {
+        let cc = self.components.as_mut().expect("cycle-only closure");
+        cc.out.entry(src).or_default().push((dst, graph));
+        cc.inn.entry(dst).or_default().push(src);
+        self.trail.push(Step::Edge(src, dst));
+        let root = cc.find(src);
+        if cc.find(dst) == root {
+            return vec![(src, dst, graph)];
+        }
+        if !cc.reaches(dst, root) {
+            return Vec::new();
+        }
+        let nodes = cc.path_nodes(dst, src);
+        let roots: Vec<N> = nodes.iter().map(|&x| cc.find(x)).collect();
+        let mut active = Vec::new();
+        for (&x, &rx) in nodes.iter().zip(&roots) {
+            for &(y, g) in cc.out.get(&x).into_iter().flatten() {
+                if let Ok(j) = nodes.binary_search(&y) {
+                    if roots[j] != rx {
+                        active.push((x, y, g));
+                    }
+                }
+            }
+        }
+        for &x in &nodes[1..] {
+            self.trail.extend(cc.union(nodes[0], x));
+        }
+        active
+    }
+
+    /// Inserts `graph : src → dst` and every composite it gives rise to.
+    fn saturate(&mut self, src: N, dst: N, graph: GraphId) {
         let mut worklist: Vec<(N, N, GraphId)> = vec![(src, dst, graph)];
         while let Some((a, b, g)) = worklist.pop() {
             if let Some(present) = self.graphs.get(&(a, b)) {
@@ -247,11 +493,9 @@ where
                 index_insert(&mut self.pred, b, a);
             }
             self.live += 1;
-            self.trail.push((a, b, g, is_bad));
+            self.trail.push(Step::Graph(a, b, g, is_bad));
             self.expand(a, b, g, &mut worklist);
         }
-        self.store.flush_memo_hits();
-        self.soundness()
     }
 
     /// Pushes every composite of the freshly retained `g : a → b` with a
@@ -341,20 +585,39 @@ where
     pub fn undo_to(&mut self, mark: Mark) {
         assert!(mark.0 <= self.trail.len(), "mark is in the future");
         while self.trail.len() > mark.0 {
-            let (a, b, g, was_bad) = self.trail.pop().expect("trail non-empty");
-            if was_bad {
-                self.bad -= 1;
-            }
-            if let Some(set) = self.graphs.get_mut(&(a, b)) {
-                // Insertions per pair happen in trail order, so unwinding
-                // the trail LIFO always removes the pair's most recent id.
-                let popped = set.pop();
-                debug_assert_eq!(popped, Some(g), "trail out of sync with pair set");
-                self.live -= 1;
-                if set.is_empty() {
-                    self.graphs.remove(&(a, b));
-                    index_remove(&mut self.succ, a, b);
-                    index_remove(&mut self.pred, b, a);
+            match self.trail.pop().expect("trail non-empty") {
+                Step::Graph(a, b, g, was_bad) => {
+                    if was_bad {
+                        self.bad -= 1;
+                    }
+                    let set = self.graphs.get_mut(&(a, b)).expect("retained pair");
+                    // Insertions per pair happen in trail order, so
+                    // unwinding the trail LIFO always removes the pair's
+                    // most recent id.
+                    let popped = set.pop();
+                    debug_assert_eq!(popped, Some(g), "trail out of sync with pair set");
+                    self.live -= 1;
+                    if set.is_empty() {
+                        self.graphs.remove(&(a, b));
+                        index_remove(&mut self.succ, a, b);
+                        index_remove(&mut self.pred, b, a);
+                    }
+                }
+                Step::Edge(src, dst) => {
+                    let cc = self.components.as_mut().expect("cycle-only closure");
+                    cc.out.get_mut(&src).and_then(Vec::pop);
+                    cc.inn.get_mut(&dst).and_then(Vec::pop);
+                }
+                Step::Union {
+                    child,
+                    root,
+                    bumped,
+                } => {
+                    let cc = self.components.as_mut().expect("cycle-only closure");
+                    cc.parent.remove(&child);
+                    if bumped {
+                        *cc.rank.get_mut(&root).expect("ranked root") -= 1;
+                    }
                 }
             }
         }
@@ -572,5 +835,160 @@ mod tests {
         c.add_edge(1usize, 0usize, back);
         assert_eq!(c.compositions(), cold_after_first);
         assert!(c.memo_hits() > 0);
+    }
+
+    #[test]
+    fn tree_edge_into_a_fresh_node_composes_nothing() {
+        let mut c = IncrementalClosure::cycle_only();
+        let g: ScGraph<u32> = [(0, 0, Label::NonStrict)].into_iter().collect();
+        assert_eq!(c.add_edge(0usize, 1usize, g.clone()), Soundness::Sound);
+        assert_eq!(c.add_edge(1usize, 2usize, g), Soundness::Sound);
+        assert_eq!(c.compositions(), 0);
+        assert_eq!(c.memo_hits(), 0);
+        assert_eq!(c.num_graphs(), 0);
+    }
+
+    #[test]
+    fn undoing_a_back_edge_splits_the_component() {
+        let mut c = IncrementalClosure::cycle_only();
+        let fwd: ScGraph<u32> = [(0, 0, Label::Strict)].into_iter().collect();
+        let back: ScGraph<u32> = [(0, 0, Label::NonStrict)].into_iter().collect();
+        c.add_edge(0usize, 1usize, fwd);
+        let mark = c.mark();
+        assert_eq!(c.add_edge(1usize, 0usize, back.clone()), Soundness::Sound);
+        let cc = c.components.as_ref().expect("cycle-only");
+        assert_eq!(cc.find(0), cc.find(1));
+        assert!(c.between_ids(0, 0).count() > 0);
+        c.undo_to(mark);
+        let cc = c.components.as_ref().expect("cycle-only");
+        assert_ne!(cc.find(0), cc.find(1));
+        assert_eq!(c.num_graphs(), 0);
+        // A second edge `0 → 1` now lies between two components again, so
+        // it is logged without being saturated.
+        c.add_edge(0usize, 1usize, back);
+        assert_eq!(c.num_graphs(), 0);
+    }
+
+    mod cycle_only_matches_exhaustive {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::test_runner::Config;
+        use std::collections::BTreeSet;
+
+        const NODES: usize = 6;
+
+        fn arb_graph() -> impl Strategy<Value = ScGraph<u32>> {
+            proptest::collection::vec(
+                (
+                    0..3u32,
+                    0..3u32,
+                    prop_oneof![Just(Label::NonStrict), Just(Label::Strict)],
+                ),
+                0..6,
+            )
+            .prop_map(|edges| edges.into_iter().collect())
+        }
+
+        /// Reflexive-transitive reachability over `edges` (Floyd–Warshall).
+        fn reachability(edges: &[(usize, usize)]) -> [[bool; NODES]; NODES] {
+            let mut r = [[false; NODES]; NODES];
+            for (v, row) in r.iter_mut().enumerate() {
+                row[v] = true;
+            }
+            for &(a, b) in edges {
+                r[a][b] = true;
+            }
+            for k in 0..NODES {
+                for i in 0..NODES {
+                    for j in 0..NODES {
+                        r[i][j] |= r[i][k] && r[k][j];
+                    }
+                }
+            }
+            r
+        }
+
+        /// The graphs retained between `(a, b)`, as store-independent
+        /// sorted edge lists.
+        fn graphs(
+            c: &IncrementalClosure<u32, usize>,
+            a: usize,
+            b: usize,
+        ) -> BTreeSet<Vec<(u32, u32, Label)>> {
+            c.between_ids(a, b)
+                .map(|g| {
+                    let mut edges = c.store().edges_of(g);
+                    edges.sort_unstable();
+                    edges
+                })
+                .collect()
+        }
+
+        /// Ops: `0` adds the edge, `1` takes a mark and then adds it, `2`
+        /// undoes to one of the marks taken so far (dropping the later
+        /// ones). After every op the verdict and witness node must agree;
+        /// unpruned, the retained graphs must agree on every pair of
+        /// mutually reachable nodes and the cycle-only closure must retain
+        /// nothing elsewhere.
+        #[test]
+        fn verdicts_and_cyclic_pairs_agree_at_every_step() {
+            let cfg = Config {
+                cases: 256,
+                ..Config::default()
+            };
+            proptest!(cfg, |(subsumption in 0..2u8, ops in proptest::collection::vec(
+                (0..NODES, 0..NODES, arb_graph(), 0..3u8, 0..64usize),
+                1..16,
+            ))| {
+                let subsumption = subsumption == 1;
+                let mut cyclic = IncrementalClosure {
+                    subsumption,
+                    ..IncrementalClosure::cycle_only()
+                };
+                let mut full = IncrementalClosure {
+                    subsumption,
+                    ..IncrementalClosure::new()
+                };
+                let mut edges: Vec<(usize, usize)> = Vec::new();
+                let mut marks: Vec<(Mark, Mark, usize)> = Vec::new();
+                for (a, b, g, op, pick) in ops {
+                    if op == 2 && !marks.is_empty() {
+                        let at = pick % marks.len();
+                        let (mc, mf, live) = marks[at];
+                        marks.truncate(at);
+                        cyclic.undo_to(mc);
+                        full.undo_to(mf);
+                        edges.truncate(live);
+                    } else {
+                        if op == 1 {
+                            marks.push((cyclic.mark(), full.mark(), edges.len()));
+                        }
+                        let vc = cyclic.add_edge(a, b, g.clone());
+                        let vf = full.add_edge(a, b, g);
+                        prop_assert_eq!(vc, vf);
+                        edges.push((a, b));
+                    }
+                    prop_assert_eq!(cyclic.soundness(), full.soundness());
+                    prop_assert_eq!(
+                        cyclic.unsound_witness().map(|(v, _)| v),
+                        full.unsound_witness().map(|(v, _)| v)
+                    );
+                    if !subsumption {
+                        let r = reachability(&edges);
+                        let mutual = |x: usize, y: usize| r[x][y] && r[y][x];
+                        for x in 0..NODES {
+                            for y in 0..NODES {
+                                let expected = if mutual(x, y) {
+                                    graphs(&full, x, y)
+                                } else {
+                                    BTreeSet::new()
+                                };
+                                prop_assert_eq!(graphs(&cyclic, x, y), expected);
+                            }
+                        }
+                    }
+                }
+            });
+        }
     }
 }

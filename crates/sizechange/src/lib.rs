@@ -26,7 +26,11 @@
 //!   checkpoint/undo, used *during* proof search so that unsound cycles are
 //!   detected the moment they are created and shared proof prefixes are
 //!   never re-verified — the paper's answer to the soundness-checking
-//!   bottleneck observed in Cyclist.
+//!   bottleneck observed in Cyclist. Its cycle-only mode
+//!   ([`IncrementalClosure::cycle_only`]), which the search and the
+//!   checker's SCC-restricted global check use, tracks strongly connected
+//!   components under undo and composes only the edges inside them, with
+//!   the exhaustive mode's verdict.
 //!
 //! [`ScGraph`] stays as the owned, construction-facing graph (and the
 //! executable specification the property tests compare the store

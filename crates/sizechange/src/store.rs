@@ -48,7 +48,7 @@
 //! symbols), never input chosen from outside, so there is no
 //! hash-flooding risk to defend against.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
@@ -101,6 +101,9 @@ impl Hasher for IdHasher {
 
 /// A `HashMap` keyed through [`IdHasher`].
 pub(crate) type IdHashMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A `HashSet` keyed through [`IdHasher`].
+pub(crate) type IdHashSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// Canonical bit-plane representation of one graph (see module docs).
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
